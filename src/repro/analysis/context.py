@@ -17,11 +17,27 @@ from __future__ import annotations
 
 import ast
 import re
+import threading
 from functools import cached_property
 
 #: Community-standard aliases applied when no explicit import rebinds
 #: the name (``np`` is numpy everywhere in this codebase).
 _CONVENTIONAL_ALIASES = {"np": "numpy", "npt": "numpy.typing"}
+
+#: CPython 3.11 keeps the AST converter's recursion-depth counter per
+#: interpreter, not per thread. A parse can switch threads midway (a
+#: GC finalizer may release the GIL), and a second thread parsing then
+#: raises ``SystemError: AST constructor recursion depth mismatch``. So
+#: every parse in this package runs under one lock (:func:`parse_source`).
+_PARSE_LOCK = threading.Lock()
+
+
+def parse_source(source: str, filename: str = "<unknown>",
+                 mode: str = "exec") -> ast.AST:
+    """``ast.parse``, serialized across threads (see ``_PARSE_LOCK``)."""
+    with _PARSE_LOCK:
+        return ast.parse(source, filename=filename, mode=mode)
+
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*"
@@ -40,7 +56,7 @@ class FileContext:
     def __init__(self, source: str, path: str) -> None:
         self.source = source
         self.path = path.replace("\\", "/")
-        self.tree = ast.parse(source, filename=path)
+        self.tree = parse_source(source, filename=path)
         self.lines = source.splitlines()
 
     # -- module identity ------------------------------------------------

@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .context import FileContext
+from .context import FileContext, parse_source
 from .rules.units import unit_of
 
 #: Bump when the summary shape changes; part of the session cache key.
@@ -483,7 +483,7 @@ def _annotation_tokens(node: ast.expr | None, ctx: FileContext
                 add("None")
             elif isinstance(item.value, str):
                 try:
-                    visit(ast.parse(item.value, mode="eval").body)
+                    visit(parse_source(item.value, mode="eval").body)
                 except SyntaxError:
                     add(item.value)
             elif item.value is Ellipsis:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.radio.profiles import RadioProfile
-from repro.traces.schema import Trace, UserTrace
+from repro.traces.schema import Trace, UserTrace, periodic_times
 from repro.workloads.appstore import AppProfile
 
 KIND_SLOT = 0
@@ -72,37 +72,54 @@ class ClientTimeline:
 
 def compile_timeline(user: UserTrace, apps: Sequence[AppProfile],
                      profile: RadioProfile) -> ClientTimeline:
-    """Compile one user's sessions into a :class:`ClientTimeline`."""
+    """Compile one user's sessions into a :class:`ClientTimeline`.
+
+    Each session contributes a run of ad slots, then a run of app
+    events; the runs are expanded as arrays (:func:`periodic_times`) in
+    session order and then stably sorted by time, so ties keep that
+    order.
+    """
     app_index = {a.app_id: i for i, a in enumerate(apps)}
-    times: list[float] = []
-    kinds: list[int] = []
-    payload: list[float] = []
-    for session in user.sessions:
-        app = apps[app_index[session.app_id]]
-        for i, t in enumerate(session.slot_times(app.ad_refresh_s)):
-            times.append(t)
-            kinds.append(KIND_SLOT_START if i == 0 else KIND_SLOT)
-            payload.append(float(app_index[session.app_id]))
-        if app.app_request_interval_s is None:
-            continue
-        if app.app_request_interval_s < profile.high_tail_time:
-            # Streaming-class app: radio never leaves the active state
-            # between requests — one continuous span, same energy.
-            times.append(session.start)
-            kinds.append(KIND_APP_STREAM)
-            payload.append(session.duration)
-        else:
-            for t in session.app_request_times(app.app_request_interval_s):
-                times.append(t)
-                kinds.append(KIND_APP)
-                payload.append(float(app.app_request_bytes))
-    order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable")
+    sessions = user.sessions
+    idx = np.array([app_index[s.app_id] for s in sessions], dtype=np.int64)
+    start = np.array([s.start for s in sessions], dtype=np.float64)
+    duration = np.array([s.duration for s in sessions], dtype=np.float64)
+    # Per-catalog-app constants, gathered per session. Offline apps get
+    # a NaN request interval, which is neither < nor >= the tail.
+    interval = np.array([np.nan if a.app_request_interval_s is None
+                         else a.app_request_interval_s for a in apps],
+                        dtype=np.float64)[idx]
+    # Streaming-class apps: the radio never leaves the active state
+    # between requests — one continuous span, same energy.
+    stream = interval < profile.high_tail_time
+    requests = interval >= profile.high_tail_time
+    request_s = np.where(requests, interval, 1.0)
+    request_bytes = np.array([float(a.app_request_bytes) for a in apps],
+                             dtype=np.float64)[idx]
+    refresh_s = np.array([a.ad_refresh_s for a in apps], dtype=np.float64)[idx]
+    n_slots = 1 + (duration // refresh_s).astype(np.int64)
+    n_app = np.where(requests, 1 + (duration // request_s).astype(np.int64),
+                     stream.astype(np.int64))
+    # Rows 2i and 2i+1 are session i's slot run and app-event run.
+    times, rows, k = periodic_times(
+        np.repeat(start, 2),
+        np.column_stack([n_slots, n_app]).ravel(),
+        np.column_stack([refresh_s, request_s]).ravel())
+    sess = rows // 2
+    is_slot = rows % 2 == 0
+    kinds = np.where(
+        is_slot, np.where(k == 0, KIND_SLOT_START, KIND_SLOT),
+        np.where(stream[sess], KIND_APP_STREAM, KIND_APP)).astype(np.int8)
+    payload = np.where(
+        is_slot, idx[sess].astype(np.float64),
+        np.where(stream[sess], duration[sess], request_bytes[sess]))
+    order = np.argsort(times, kind="stable")
     return ClientTimeline(
         user_id=user.user_id,
         platform=user.platform,
-        times=np.asarray(times, dtype=np.float64)[order],
-        kinds=np.asarray(kinds, dtype=np.int8)[order],
-        payload=np.asarray(payload, dtype=np.float64)[order],
+        times=times[order],
+        kinds=kinds[order],
+        payload=payload[order],
     )
 
 

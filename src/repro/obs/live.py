@@ -612,6 +612,11 @@ class ProgressRenderer:
 # ----------------------------------------------------------------------
 
 
+#: Put on the beat queue by :meth:`LivePlane.finish` to wake the drain
+#: thread out of its blocking ``get``.
+_WAKE = None
+
+
 @dataclass(slots=True)
 class WorkerLiveSetup:
     """Per-worker live-telemetry setup shipped next to the ShardTask.
@@ -700,6 +705,13 @@ class LivePlane:
     def finish(self, failed: bool = False) -> None:
         """Drain the tail, write loss postmortems, stop the thread."""
         self._stop.set()
+        if self._queue is not None:
+            # Wake a drain blocked in ``queue.get`` now rather than at
+            # the end of its ``poll_s`` wait.
+            try:
+                self._queue.put(_WAKE)  # type: ignore[attr-defined]
+            except (OSError, EOFError, BrokenPipeError):
+                pass
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -747,7 +759,9 @@ class LivePlane:
                     beat = queue.get_nowait()  # type: ignore[attr-defined]
             except (queue_mod.Empty, OSError, EOFError, BrokenPipeError):
                 return
-            if isinstance(beat, ShardBeat):
+            if beat is _WAKE:
+                deadline = self._now()   # stop waiting; drain what is queued
+            elif isinstance(beat, ShardBeat):
                 self.aggregator.ingest(beat)
 
     @staticmethod

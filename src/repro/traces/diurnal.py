@@ -24,6 +24,28 @@ DAYPARTS: tuple[tuple[float, float], ...] = (
 
 HOURS_PER_DAY = 24
 
+#: ``Generator.choice``'s tolerance on the sum of a float64 PMF.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(pmf: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(len(pmf), p=pmf)`` searches.
+
+    Checked and normalised as ``choice`` does it: non-negative, sum
+    within sqrt(eps) of 1, ``cumsum`` divided by its last entry. So
+    ``int(cdf.searchsorted(rng.random(), side="right"))`` draws exactly
+    what ``rng.choice(len(pmf), p=pmf)`` would, from the same stream
+    position, without re-checking the PMF on every draw.
+    """
+    pmf = np.asarray(pmf, dtype=np.float64)
+    if (pmf < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if not abs(pmf.sum() - 1.0) <= _CHOICE_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
 
 def _wrapped_gaussian(hour: np.ndarray | float, mu: float, sigma: float) -> np.ndarray | float:
     """Gaussian bump on the 24-hour circle (three-image approximation)."""
@@ -82,10 +104,20 @@ class DiurnalProfile:
         hourly = vals.reshape(HOURS_PER_DAY, 6).sum(axis=1)
         return hourly / hourly.sum()
 
-    def sample_hour(self, rng: np.random.Generator) -> float:
-        """Draw a fractional session-start hour from the profile."""
-        pmf = self.hourly_pmf()
-        hour = int(rng.choice(HOURS_PER_DAY, p=pmf))
+    def sample_hour(self, rng: np.random.Generator,
+                    cdf: np.ndarray | None = None) -> float:
+        """Draw a fractional session-start hour from the profile.
+
+        The whole hour is ``rng.choice(24, p=self.hourly_pmf())``, drawn
+        draw-for-draw as ``choice`` does (one ``rng.random()`` searched
+        in the CDF); the fraction is one ``rng.uniform(0, 1)``. ``cdf``
+        is ``choice_cdf(self.hourly_pmf())``: it depends only on the
+        frozen profile, so pass it when drawing many hours for one
+        profile and the PMF is built once instead of per draw.
+        """
+        if cdf is None:
+            cdf = choice_cdf(self.hourly_pmf())
+        hour = int(cdf.searchsorted(rng.random(), side="right"))
         return hour + float(rng.uniform(0.0, 1.0))
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.obs import log
 
-from .schema import SECONDS_PER_DAY, SECONDS_PER_HOUR, Session, Trace
+from .diurnal import choice_cdf
+from .schema import SECONDS_PER_DAY, SECONDS_PER_HOUR, Session, Trace, UserTrace
 
 # Diagnostics go through the shared repro.obs.log helper (silent unless
 # enabled); ad-hoc print()/logging setups are deprecated repo-wide.
@@ -68,6 +69,7 @@ class TraceGenerator:
         self.apps = list(apps)
         self.config = config
         self.rng = rng
+        self._log_median = [np.log(a.session_median_s) for a in self.apps]
 
     def generate(self, population: Sequence["UserProfile"]) -> Trace:
         """Generate the full trace for ``population``."""
@@ -82,7 +84,6 @@ class TraceGenerator:
             if user.user_id not in trace.users:
                 # Keep silent users in the population: they still run the
                 # client SDK and must be predicted (as ~zero slots).
-                from .schema import UserTrace
                 trace.users[user.user_id] = UserTrace(user.user_id, user.platform)
                 n_silent += 1
         for user_trace in trace.users.values():
@@ -96,36 +97,36 @@ class TraceGenerator:
         cfg = self.config
         rng = self.rng
         sessions: list[Session] = []
-        app_ids = [a.app_id for a in self.apps]
-        app_by_id = {a.app_id: a for a in self.apps}
         weights = np.asarray(user.app_weights, dtype=float)
         if len(weights) != len(self.apps):
             raise ValueError(
                 f"user {user.user_id} has {len(weights)} app weights for "
                 f"{len(self.apps)} apps")
         weights = weights / weights.sum()
+        # Per-user constants, hoisted out of the session loop.
+        hour_cdf = choice_cdf(user.diurnal.hourly_pmf())
+        end_cap = cfg.n_days * SECONDS_PER_DAY
+        latest_start = end_cap - cfg.min_session_s - 1e-6
         for day in range(cfg.n_days):
             rate = user.daily_rate(day, rng)
             count = int(rng.poisson(rate))
             count = min(count, cfg.max_sessions_per_day)
             if count == 0:
                 continue
-            chosen = rng.choice(len(app_ids), size=count, p=weights)
-            for app_idx in chosen:
-                app = app_by_id[app_ids[int(app_idx)]]
-                hour = user.diurnal.sample_hour(rng)
+            chosen = rng.choice(len(self.apps), size=count, p=weights)
+            for app_idx in chosen.tolist():
+                app = self.apps[app_idx]
+                hour = user.diurnal.sample_hour(rng, hour_cdf)
                 start = day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
-                duration = float(rng.lognormal(
-                    mean=np.log(app.session_median_s),
-                    sigma=app.session_sigma))
-                duration = float(np.clip(duration, cfg.min_session_s,
-                                         cfg.max_session_s))
+                duration = float(rng.lognormal(mean=self._log_median[app_idx],
+                                               sigma=app.session_sigma))
+                duration = min(max(duration, cfg.min_session_s),
+                               cfg.max_session_s)
                 # Clamp sessions to the trace horizon so downstream hour
                 # indexing stays in range. Sessions starting too close to
                 # the horizon to fit the minimum duration are dropped —
                 # clamping them would violate the min_session_s invariant.
-                end_cap = cfg.n_days * SECONDS_PER_DAY
-                if start > end_cap - cfg.min_session_s - 1e-6:
+                if start > latest_start:
                     continue
                 duration = min(duration, end_cap - start - 1e-6)
                 sessions.append(Session(user.user_id, app.app_id, start, duration))

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 
@@ -58,6 +60,21 @@ class Session:
             raise ValueError("interval_s must be positive")
         n = 1 + int(self.duration // interval_s)
         return [self.start + k * interval_s for k in range(n)]
+
+
+def periodic_times(starts: np.ndarray, counts: np.ndarray,
+                   periods: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`Session.slot_times` for many rows at once, as arrays.
+
+    Row ``i`` expands to ``counts[i]`` times ``starts[i] + k * periods[i]``
+    for ``k = 0 .. counts[i] - 1`` — the float expression of
+    :meth:`Session.slot_times`, so the values are bit-identical. Rows
+    stay in order. Returns ``(times, rows, k)``: each time, the row it
+    came from, and its ``k``.
+    """
+    rows = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return starts[rows] + k * periods[rows], rows, k
 
 
 @dataclass(frozen=True, slots=True)

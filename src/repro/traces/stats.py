@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diurnal import HOURS_PER_DAY, autocorrelation_lag_one_day
-from .schema import Trace
+from .schema import SECONDS_PER_HOUR, Trace, UserTrace, periodic_times
 
 
 def refresh_map(apps) -> dict[str, float]:
@@ -21,41 +21,49 @@ def refresh_map(apps) -> dict[str, float]:
     return {a.app_id: a.ad_refresh_s for a in apps}
 
 
+def _epoch_counts(users: list[UserTrace], refresh_of: dict[str, float],
+                  epoch_s: float, n_epochs: int) -> np.ndarray:
+    """Slot counts per user (row) and epoch, shape ``(len(users), n_epochs)``.
+
+    A slot at time ``t`` counts in epoch ``t // epoch_s`` when that lies
+    in ``[0, n_epochs)``. Slot times are the exact floats of
+    :meth:`UserTrace.slots`, built with :func:`periodic_times`.
+    """
+    out = np.zeros((len(users), n_epochs), dtype=np.int64)
+    for row, user in enumerate(users):
+        starts = np.array([s.start for s in user.sessions], dtype=np.float64)
+        durations = np.array([s.duration for s in user.sessions],
+                             dtype=np.float64)
+        periods = np.array([refresh_of[s.app_id] for s in user.sessions],
+                           dtype=np.float64)
+        times, _, _ = periodic_times(
+            starts, 1 + (durations // periods).astype(np.int64), periods)
+        epoch = times // epoch_s
+        epoch = epoch[(epoch >= 0) & (epoch < n_epochs)].astype(np.int64)
+        out[row] = np.bincount(epoch, minlength=n_epochs)
+    return out
+
+
 def slots_per_user_day(trace: Trace, refresh_of: dict[str, float]) -> np.ndarray:
     """Matrix of ad-slot counts, shape (n_users, n_days).
 
     Users are ordered by sorted user id.
     """
-    users = trace.sorted_users()
-    out = np.zeros((len(users), trace.n_days), dtype=np.int64)
-    for row, user in enumerate(users):
-        for slot in user.slots(refresh_of):
-            day = slot.day
-            if 0 <= day < trace.n_days:
-                out[row, day] += 1
-    return out
+    return _epoch_counts(trace.sorted_users(), refresh_of,
+                         HOURS_PER_DAY * SECONDS_PER_HOUR, trace.n_days)
 
 
 def hourly_slot_counts(trace: Trace, refresh_of: dict[str, float]) -> np.ndarray:
     """Population-wide slot counts per absolute hour, shape (n_days*24,)."""
-    counts = np.zeros(trace.n_days * HOURS_PER_DAY, dtype=np.int64)
-    for user in trace.users.values():
-        for slot in user.slots(refresh_of):
-            idx = slot.hour_index
-            if 0 <= idx < counts.size:
-                counts[idx] += 1
-    return counts
+    return _epoch_counts(trace.sorted_users(), refresh_of, SECONDS_PER_HOUR,
+                         trace.n_days * HOURS_PER_DAY).sum(axis=0)
 
 
 def user_hourly_slot_counts(trace: Trace, user_id: str,
                             refresh_of: dict[str, float]) -> np.ndarray:
     """One user's slot counts per absolute hour."""
-    counts = np.zeros(trace.n_days * HOURS_PER_DAY, dtype=np.int64)
-    for slot in trace.user(user_id).slots(refresh_of):
-        idx = slot.hour_index
-        if 0 <= idx < counts.size:
-            counts[idx] += 1
-    return counts
+    return _epoch_counts([trace.user(user_id)], refresh_of, SECONDS_PER_HOUR,
+                         trace.n_days * HOURS_PER_DAY)[0]
 
 
 def cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,17 +127,13 @@ def epoch_slot_counts(trace: Trace, refresh_of: dict[str, float],
                       epoch_s: float) -> dict[str, np.ndarray]:
     """Per-user slot counts in consecutive epochs of ``epoch_s`` seconds.
 
-    This is the series the predictors are trained/evaluated on.
+    This is the series the predictors are trained/evaluated on. The
+    per-user arrays are rows of one ``int64`` matrix, in sorted user-id
+    order.
     """
     if epoch_s <= 0:
         raise ValueError("epoch_s must be positive")
     n_epochs = int(np.ceil(trace.horizon / epoch_s))
-    out: dict[str, np.ndarray] = {}
-    for user in trace.sorted_users():
-        counts = np.zeros(n_epochs, dtype=np.int64)
-        for slot in user.slots(refresh_of):
-            idx = int(slot.time // epoch_s)
-            if 0 <= idx < n_epochs:
-                counts[idx] += 1
-        out[user.user_id] = counts
-    return out
+    users = trace.sorted_users()
+    counts = _epoch_counts(users, refresh_of, epoch_s, n_epochs)
+    return {user.user_id: row for user, row in zip(users, counts)}

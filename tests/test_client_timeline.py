@@ -11,9 +11,10 @@ from repro.client.timeline import (
     compile_timeline,
     compile_trace,
 )
-from repro.radio.profiles import THREE_G
+from repro.radio.profiles import THREE_G, WIFI
+from repro.sim.rng import RngRegistry
 from repro.traces.schema import Session, UserTrace
-from repro.workloads.appstore import get_app
+from repro.workloads.appstore import TOP15, get_app
 
 
 def _user_with(sessions) -> UserTrace:
@@ -80,3 +81,58 @@ def test_compile_trace_covers_all_users(tiny_world):
     expected = sum(len(u.slots(refresh))
                    for u in tiny_world.trace.users.values())
     assert total_slots == expected
+
+
+def test_user_without_sessions_compiles_to_empty_arrays():
+    timeline = compile_timeline(UserTrace("u1", "wp"), TOP15, THREE_G)
+    assert len(timeline) == 0
+    assert (timeline.times.dtype, timeline.kinds.dtype,
+            timeline.payload.dtype) == (np.float64, np.int8, np.float64)
+
+
+def _oracle_timeline(user, apps, profile):
+    """The list-built definition the array compiler must reproduce."""
+    app_index = {a.app_id: i for i, a in enumerate(apps)}
+    times, kinds, payload = [], [], []
+    for session in user.sessions:
+        app = apps[app_index[session.app_id]]
+        for i, t in enumerate(session.slot_times(app.ad_refresh_s)):
+            times.append(t)
+            kinds.append(KIND_SLOT_START if i == 0 else KIND_SLOT)
+            payload.append(float(app_index[session.app_id]))
+        if app.app_request_interval_s is None:
+            continue
+        if app.app_request_interval_s < profile.high_tail_time:
+            times.append(session.start)
+            kinds.append(KIND_APP_STREAM)
+            payload.append(session.duration)
+        else:
+            for t in session.app_request_times(app.app_request_interval_s):
+                times.append(t)
+                kinds.append(KIND_APP)
+                payload.append(float(app.app_request_bytes))
+    order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable")
+    return (np.asarray(times, dtype=np.float64)[order],
+            np.asarray(kinds, dtype=np.int8)[order],
+            np.asarray(payload, dtype=np.float64)[order])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("profile", [THREE_G, WIFI], ids=lambda p: p.name)
+def test_array_compile_matches_list_oracle_with_ties(seed, profile):
+    # Overlapping sessions on a coarse start grid give many equal
+    # timestamps across slots, requests and streams; the stable sort
+    # must order them exactly as the session-by-session lists did.
+    rng = RngRegistry(seed).fresh("timeline-oracle")
+    user = UserTrace("u1", "wp")
+    for _ in range(40):
+        app = TOP15[int(rng.integers(len(TOP15)))]
+        user.add(Session("u1", app.app_id, 30.0 * int(rng.integers(60)),
+                         float(rng.choice([0.0, 29.999, 60.0,
+                                           rng.uniform(0.0, 900.0)]))))
+    user.sort()
+    timeline = compile_timeline(user, TOP15, profile)
+    for got, want in zip((timeline.times, timeline.kinds, timeline.payload),
+                         _oracle_timeline(user, TOP15, profile)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ jobs 1 and 4.
 from __future__ import annotations
 
 import io
+import time
 
 import pytest
 
@@ -378,3 +379,27 @@ def test_live_plane_serial_collects_beats(tiny_config, tiny_world):
     assert snap.done == 2 and snap.failed == 0
     assert snap.beats >= 4                       # hello + final per shard
     assert plane.postmortems == []
+
+
+def test_live_plane_finish_does_not_wait_out_the_poll():
+    # The drain thread blocks in a Manager-queue ``get`` for up to
+    # ``poll_s``; finish() must wake it instead of joining through the
+    # wait, and still ingest a beat published just before it.
+    plane = LivePlane(LiveOptions(beat_interval_s=0.0), n_shards=1,
+                      parallel=True)
+    plane._poll_s = 30.0
+    plane.start()
+    thread = plane._thread
+    try:
+        time.sleep(0.2)                  # let the drain enter its get()
+        plane.worker_setup().transport.publish(
+            ShardBeat(shard_index=0, n_shards=1, seq=0, watermark_s=0.0,
+                      final=True))
+        started = time.monotonic()
+        plane.finish()
+        elapsed = time.monotonic() - started
+    finally:
+        plane._stop.set()
+    assert elapsed < 2.0, f"finish() took {elapsed:.2f}s"
+    assert not thread.is_alive()
+    assert plane.aggregator.snapshot().done == 1

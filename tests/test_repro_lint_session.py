@@ -9,18 +9,37 @@ SARIF writer with its embedded structural validator.
 
 from __future__ import annotations
 
+import ast
 import json
+import sys
 import textwrap
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.analysis.callgraph import CallGraph, ProjectContext
 from repro.analysis.engine import GitIgnore, iter_python_files, run_analysis
 from repro.analysis.findings import Finding
 from repro.analysis.modgraph import ModuleGraph, ModuleSummary, build_summary
-from repro.analysis.context import FileContext
+from repro.analysis.context import FileContext, parse_source
 from repro.analysis.reporter import LintOutcome
 from repro.analysis.sarif import render_sarif, sarif_report, validate_sarif
 from repro.analysis.session import AnalysisSession
+
+
+#: The package's own sources: a realistic, sizeable parse workload.
+REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+class _GilYieldingGarbage:
+    """Cyclic garbage whose finalizer releases the GIL, so the collector
+    can switch threads in the middle of another allocation-heavy call."""
+
+    def __init__(self) -> None:
+        self.cycle = self
+
+    def __del__(self) -> None:
+        time.sleep(0)
 
 
 def graph_of(files: dict[str, str]) -> ModuleGraph:
@@ -257,6 +276,29 @@ class TestSessionCache:
         parallel = run_analysis([src], jobs=4)
         assert [f.render() for f in serial.findings] \
             == [f.render() for f in parallel.findings]
+
+    def test_concurrent_parses_do_not_race(self):
+        # A GC finalizer that releases the GIL lets another thread start
+        # parsing while one is mid-conversion; on CPython 3.11 unguarded
+        # ast.parse then raises "AST constructor recursion depth
+        # mismatch". Parse the package on 8 threads, repeatedly.
+        sources = [path.read_text(encoding="utf-8")
+                   for path in sorted(REPO_SRC.rglob("*.py"))]
+
+        def parse(source):
+            for _ in range(50):
+                _GilYieldingGarbage()
+            return parse_source(source)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    trees = list(pool.map(parse, sources))
+                assert all(isinstance(tree, ast.Module) for tree in trees)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_summary_round_trips_through_json(self):
         ctx = FileContext(textwrap.dedent("""

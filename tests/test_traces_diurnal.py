@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.sim.rng import RngRegistry
 from repro.traces.diurnal import (
     DAYPARTS,
     HOURS_PER_DAY,
     DiurnalProfile,
     autocorrelation_lag_one_day,
+    choice_cdf,
     population_hourly_profile,
     random_profile,
 )
@@ -63,6 +65,54 @@ def test_sample_hour_follows_pmf(rng):
     evening = ((samples >= 18) & (samples < 24)).mean()
     night = ((samples >= 2) & (samples < 6)).mean()
     assert evening > 5 * night
+
+
+def _guard_pmfs(seed):
+    """A random profile's PMF plus arbitrary PMFs, some with zero hours."""
+    rng = RngRegistry(seed).fresh("pmfs")
+    yield random_profile(rng).hourly_pmf()
+    for zeros in (0, 1, 12, 23):
+        pmf = rng.dirichlet(np.full(HOURS_PER_DAY, 0.5))
+        pmf[rng.permutation(HOURS_PER_DAY)[:zeros]] = 0.0
+        yield pmf / pmf.sum()
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_choice_cdf_draws_exactly_what_choice_draws(seed):
+    # Trace synthesis relies on this identity to draw session hours
+    # from a per-user CDF; a numpy change that breaks it must fail here
+    # rather than silently shift every trace.
+    for pmf in _guard_pmfs(seed):
+        cdf = choice_cdf(pmf)
+        ours = RngRegistry(seed).fresh("draws")
+        theirs = RngRegistry(seed).fresh("draws")
+        for _ in range(400):
+            hour = int(cdf.searchsorted(ours.random(), side="right"))
+            assert hour == int(theirs.choice(HOURS_PER_DAY, p=pmf))
+        assert ours.random() == theirs.random()      # same stream position
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sample_hour_matches_choice_then_uniform(seed):
+    profile = random_profile(RngRegistry(seed).fresh("profile"))
+    cdf = choice_cdf(profile.hourly_pmf())
+    ours = RngRegistry(seed).fresh("draws")
+    theirs = RngRegistry(seed).fresh("draws")
+    for i in range(300):
+        expected = (int(theirs.choice(HOURS_PER_DAY, p=profile.hourly_pmf()))
+                    + float(theirs.uniform(0.0, 1.0)))
+        # With and without a prebuilt CDF: same draw, same stream use.
+        assert profile.sample_hour(ours, cdf if i % 2 else None) == expected
+
+
+@pytest.mark.parametrize("pmf", [[0.5, 0.7, -0.2], [0.5, 0.6]],
+                         ids=["negative", "sum-not-one"])
+def test_choice_cdf_rejects_what_choice_rejects(pmf):
+    pmf = np.array(pmf)
+    with pytest.raises(ValueError):
+        RngRegistry(0).fresh("draws").choice(pmf.size, p=pmf)
+    with pytest.raises(ValueError):
+        choice_cdf(pmf)
 
 
 def test_profile_validation():

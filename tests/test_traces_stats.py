@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.traces.schema import SECONDS_PER_HOUR, Session, Trace
+from repro.sim.rng import RngRegistry
+from repro.traces.generator import TraceConfig, TraceGenerator
+from repro.traces.schema import SECONDS_PER_HOUR, Session, Trace, UserTrace
 from repro.traces.stats import (
     cdf,
     epoch_slot_counts,
@@ -15,6 +17,7 @@ from repro.traces.stats import (
     user_hourly_slot_counts,
 )
 from repro.workloads.appstore import TOP15
+from repro.workloads.population import PopulationConfig, build_population
 
 
 def _hand_trace() -> tuple[Trace, dict[str, float]]:
@@ -94,3 +97,67 @@ def test_refresh_map_covers_catalog():
     refresh = refresh_map(TOP15)
     assert len(refresh) == 15
     assert all(v > 0 for v in refresh.values())
+
+
+# -- array slot counting vs the per-AdSlot definition ------------------
+
+
+def _oracle_epoch_slot_counts(trace, refresh_of, epoch_s):
+    """The original definition: one AdSlot per slot, counted one by one."""
+    n_epochs = int(np.ceil(trace.horizon / epoch_s))
+    out = {}
+    for user in trace.sorted_users():
+        counts = np.zeros(n_epochs, dtype=np.int64)
+        for slot in user.slots(refresh_of):
+            idx = int(slot.time // epoch_s)
+            if 0 <= idx < n_epochs:
+                counts[idx] += 1
+        out[user.user_id] = counts
+    return out
+
+
+def _oracle_trace(seed):
+    """A generated trace plus a silent user and sessions at the horizon."""
+    registry = RngRegistry(seed)
+    population = build_population(PopulationConfig(n_users=12),
+                                  registry.stream("population"), TOP15)
+    trace = TraceGenerator(TOP15, TraceConfig(n_days=3),
+                           registry.stream("trace")).generate(population)
+    trace.users["zz-silent"] = UserTrace("zz-silent", "wp")
+    horizon = trace.horizon
+    app = TOP15[0].app_id
+    # Clamped at the horizon the way the generator clamps...
+    trace.add_session(Session("zz-edge", app, horizon - 100.0, 100.0 - 1e-6))
+    # ...and overrunning it, so late slots fall past the last epoch.
+    trace.add_session(Session("zz-edge", app, horizon - 50.0, 400.0))
+    trace.add_session(Session("zz-edge", app, 0.0, 0.0))
+    trace.users["zz-edge"].sort()
+    return trace
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_epoch_slot_counts_match_per_slot_oracle(seed):
+    trace = _oracle_trace(seed)
+    refresh = refresh_map(TOP15)
+    epochs = RngRegistry(seed).fresh("epochs").uniform(1.0, 20000.0, size=6)
+    for epoch_s in [3600.0, 7000.0, 86400.0, 3 * 86400.0, *epochs.tolist()]:
+        got = epoch_slot_counts(trace, refresh, epoch_s)
+        want = _oracle_epoch_slot_counts(trace, refresh, epoch_s)
+        assert list(got) == list(want)
+        for uid in want:
+            assert got[uid].dtype == np.int64
+            assert np.array_equal(got[uid], want[uid]), (uid, epoch_s)
+        assert not got["zz-silent"].any()
+
+
+def test_day_and_hour_counts_match_per_slot_oracle():
+    trace = _oracle_trace(4)
+    refresh = refresh_map(TOP15)
+    days = _oracle_epoch_slot_counts(trace, refresh, 86400.0)
+    assert np.array_equal(slots_per_user_day(trace, refresh),
+                          np.stack(list(days.values())))
+    hours = _oracle_epoch_slot_counts(trace, refresh, SECONDS_PER_HOUR)
+    assert np.array_equal(hourly_slot_counts(trace, refresh),
+                          sum(hours.values()))
+    assert np.array_equal(user_hourly_slot_counts(trace, "zz-edge", refresh),
+                          hours["zz-edge"])
