@@ -75,28 +75,30 @@ def run_realtime(timelines: dict[str, ClientTimeline],
             shard_heartbeat(obs, end, component="realtime",
                             done=index + 1, total=n_users,
                             users=n_users, events_done=events_done)
-        for t, kind, p in zip(times, kinds, payload):
-            if faults is not None and faults.dark(float(t)):
+        # Python scalars: each event goes to pure-Python code.
+        for t, kind, p in zip(times.tolist(), kinds.tolist(),
+                              payload.tolist()):
+            if faults is not None and faults.dark(t):
                 break  # device churned away: no further events
             if kind == KIND_SLOT or kind == KIND_SLOT_START:
-                if faults is not None and not faults.attempt(float(t)):
+                if faults is not None and not faults.attempt(t):
                     unfilled += 1
                     nbytes = faults.plan.failed_attempt_bytes
                     if nbytes:
-                        device.ad_fetch(float(t), nbytes)
+                        device.ad_fetch(t, nbytes)
                     continue
                 app = apps[int(p)]
-                sale = exchange.sell_now(float(t), category=app.category,
+                sale = exchange.sell_now(t, category=app.category,
                                          platform=timeline.platform)
                 if sale is None:
                     unfilled += 1
                     continue
-                device.ad_fetch(float(t), sale.creative_bytes)
+                device.ad_fetch(t, sale.creative_bytes)
                 impressions += 1
             elif kind == KIND_APP:
-                device.app_request(float(t), int(p))
+                device.app_request(t, int(p))
             elif kind == KIND_APP_STREAM:
-                device.app_streaming(float(t), float(p))
+                device.app_streaming(t, p)
         device.finish(end)
         wakeups_counter.inc(device.wakeups)
     impressions_counter.inc(impressions)

@@ -60,10 +60,14 @@ class ShowCurveEstimator:
             raise ValueError("min_samples must be >= 1")
         self.min_samples = min_samples
         n_buckets = len(BUCKET_EDGES) - 1
-        # tail_counts[b, j] = number of observations in bucket b with
-        # actual >= j (j in 0..MAX_DEPTH).
-        self._tail_counts = np.zeros((n_buckets, MAX_DEPTH + 1), dtype=np.int64)
-        self._totals = np.zeros(n_buckets, dtype=np.int64)
+        # hist[b][k] = observations in bucket b with min(actual,
+        # MAX_DEPTH) == k; one integer increment per observation.
+        self._hist = [[0] * (MAX_DEPTH + 1) for _ in range(n_buckets)]
+        self._totals = [0] * n_buckets
+        # tail[b][j] = observations in bucket b with actual >= j, the
+        # reverse cumulative sum of hist[b]; rebuilt on the first read
+        # after a write (None until then).
+        self._tail: list[list[int]] | None = None
 
     @staticmethod
     def bucket_of(predicted: float) -> int:
@@ -77,13 +81,22 @@ class ShowCurveEstimator:
         if actual < 0:
             raise ValueError("actual must be non-negative")
         b = self.bucket_of(predicted)
-        upto = min(actual, MAX_DEPTH)
-        self._tail_counts[b, : upto + 1] += 1
+        self._hist[b][min(actual, MAX_DEPTH)] += 1
         self._totals[b] += 1
+        self._tail = None
+
+    def _tail_counts(self) -> list[list[int]]:
+        """``tail[b][j]``: observations in bucket ``b`` with actual >= j."""
+        tail = self._tail
+        if tail is None:
+            hist = np.array(self._hist, dtype=np.int64)
+            tail = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1].tolist()
+            self._tail = tail
+        return tail
 
     def samples(self, predicted: float) -> int:
         """Observations available in the bucket of ``predicted``."""
-        return int(self._totals[self.bucket_of(predicted)])
+        return self._totals[self.bucket_of(predicted)]
 
     def saturated_bucket(self, predicted: float) -> int | None:
         """Bucket index of ``predicted`` if it is purely empirical.
@@ -94,7 +107,7 @@ class ShowCurveEstimator:
         observations. Returns ``None`` while the prior still blends in.
         """
         b = self.bucket_of(predicted)
-        return b if int(self._totals[b]) >= self.min_samples else None
+        return b if self._totals[b] >= self.min_samples else None
 
     def empirical_tail(self, bucket: int, depth: int) -> float:
         """``tail_counts[bucket, depth] / total`` — the saturated answer.
@@ -102,8 +115,7 @@ class ShowCurveEstimator:
         Exactly the division :meth:`at_least` performs once a bucket is
         saturated (``depth`` already clamped to ``MAX_DEPTH``).
         """
-        return float(self._tail_counts[bucket, depth]) / int(
-            self._totals[bucket])
+        return float(self._tail_counts()[bucket][depth]) / self._totals[bucket]
 
     def at_least(self, predicted: float, j: int) -> float:
         """``P(actual >= j | predicted)`` with prior blending.
@@ -114,11 +126,11 @@ class ShowCurveEstimator:
             return 1.0
         prior = poisson_tail(predicted, j)
         b = self.bucket_of(predicted)
-        total = int(self._totals[b])
+        total = self._totals[b]
         if total == 0:
             return prior
         jj = min(j, MAX_DEPTH)
-        empirical = float(self._tail_counts[b, jj]) / total
+        empirical = float(self._tail_counts()[b][jj]) / total
         if total >= self.min_samples:
             return empirical
         w = total / self.min_samples
